@@ -6,8 +6,9 @@ workload order between rounds, and reports for every workload x metric the
 median, the quartiles (statistics.quantiles(n=4)), the min/max and the
 quartile spread as a share of the median, next to the metric's bound in
 BENCHMARK.json. A second command checks whether two recorded sets agree:
-each spread (setup_s excepted) within its bound, no median of the second
-set worse than the first by more than the bound, and the same failed share.
+every spread of both sets within its bound, every median of the second set
+within the bound of the first's in either direction, and the same failed
+share.
 
 Run from the repository root:
 
@@ -148,16 +149,14 @@ def cmd_compare(args):
             va = [r["metrics"][name]["value"] for r in ra]
             vb = [r["metrics"][name]["value"] for r in rb]
             sa, sb = summarize(va), summarize(vb)
-            if m["better"] == "lower":
-                worse = (sb["median"] - sa["median"]) / sa["median"]
-            else:
-                worse = (sa["median"] - sb["median"]) / sa["median"]
-            spread_ok = name == "setup_s" or (
-                sa["spread"] <= bound and sb["spread"] <= bound)
-            good = worse <= bound and spread_ok
+            drift = (sb["median"] - sa["median"]) / sa["median"]
+            if m["better"] == "higher":
+                drift = -drift
+            spread_ok = sa["spread"] <= bound and sb["spread"] <= bound
+            good = abs(drift) <= bound and spread_ok
             ok &= good
             print(f"  {name:<18} median {sa['median']:.5g} -> {sb['median']:.5g}"
-                  f" ({worse:+.3f} worse, bound {bound}), spreads"
+                  f" ({drift:+.3f} worse, bound {bound}), spreads"
                   f" {sa['spread']:.3f} / {sb['spread']:.3f}"
                   f" {'ok' if good else 'DISAGREE'}")
     print("\nagree" if ok else "\nDISAGREE")

@@ -1,8 +1,8 @@
 //! `qecbench`: the end-to-end benchmark of the QEC workspace.
 //!
 //! ```text
-//! qecbench --workload <cold_rank|warm_expand|zipf_ingress> --seed <n>
-//!          --seconds <s> --trace <0|1> [--rate <requests/s>]
+//! qecbench --workload <cold_rank|warm_expand> --seed <n> --seconds <s>
+//!          --trace <0|1>
 //! ```
 //!
 //! Generates a seeded corpus, boots the engine from it, drives the
@@ -29,7 +29,6 @@ fn parse_args() -> Result<Args, String> {
         seed: 1,
         seconds: 10.0,
         trace: false,
-        rate: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -46,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
                     _ => return Err(bad(&"expected 0 or 1")),
                 }
             }
-            "--rate" => args.rate = Some(value.parse().map_err(|e| bad(&e))?),
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -63,10 +61,7 @@ fn run(args: &Args) -> Result<Report, String> {
     match args.workload.as_str() {
         "cold_rank" => workload::cold_rank(args),
         "warm_expand" => workload::warm_expand(args),
-        "zipf_ingress" => workload::zipf_ingress(args),
-        w => Err(format!(
-            "unknown workload {w:?} (cold_rank, warm_expand, zipf_ingress)"
-        )),
+        w => Err(format!("unknown workload {w:?} (cold_rank, warm_expand)")),
     }
 }
 
@@ -84,7 +79,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("qecbench: {e}");
             eprintln!(
-                "usage: qecbench --workload <cold_rank|warm_expand|zipf_ingress> --seed <n> --seconds <s> --trace <0|1> [--rate <rps>]"
+                "usage: qecbench --workload <cold_rank|warm_expand> --seed <n> --seconds <s> --trace <0|1>"
             );
             return ExitCode::from(2);
         }

@@ -1,4 +1,8 @@
-//! Small measurement helpers: percentiles, peak memory, response hashes.
+//! Small measurement helpers: percentiles, resident memory, response
+//! hashes.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use qec_engine::ExpandResponse;
 
@@ -14,14 +18,53 @@ pub fn median(xs: &[f64]) -> f64 {
     quantile(&mut xs.to_vec(), 0.5)
 }
 
-/// Peak resident memory of this process (`VmHWM`), in MB.
-pub fn peak_rss_mb() -> f64 {
+/// Resident memory of this process now (`VmRSS`), in MB.
+pub fn rss_mb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix("VmRSS:"))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         .map_or(f64::NAN, |kb| kb / 1024.0)
+}
+
+/// Hands the allocator's free pages back to the system, so that the next
+/// [`rss_mb`] counts live data only. glibc keeps freed pages resident
+/// otherwise, and an engine that reused them would not show in a
+/// difference of resident sizes.
+pub fn release_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+        }
+        // SAFETY: malloc_trim takes no pointers; it only returns whole
+        // free pages of the heap to the kernel.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
+/// Runs `f` while a second thread reads [`rss_mb`] every millisecond;
+/// returns `f`'s output and the highest resident size seen, the reading
+/// after `f` included.
+pub fn with_peak_rss<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut peak = rss_mb();
+            while !done.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(1));
+                peak = peak.max(rss_mb());
+            }
+            peak
+        });
+        let out = f();
+        done.store(true, Ordering::Relaxed);
+        let peak = sampler.join().expect("memory sampler panicked");
+        (out, peak.max(rss_mb()))
+    })
 }
 
 /// Host CPU time stolen from this machine so far (`/proc/stat` steal

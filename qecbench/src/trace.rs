@@ -6,7 +6,7 @@
 //! are written to `.bench_work/spans-<workload>-<seed>.tsv` at the end.
 
 use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qec_cluster::{
@@ -16,7 +16,7 @@ use qec_core::{
     ExactDeltaF, Expander, ExpansionArena, Iskr, MergeScratch, Pebc, QecInstance, ResultSet,
 };
 use qec_engine::cache::CachedCluster;
-use qec_engine::{EngineBuilder, ExpandResponse, ExpandStrategy, QecEngine, ShardedEngineBuilder};
+use qec_engine::{EngineBuilder, ExpandResponse, ExpandStrategy, QecEngine};
 use qec_index::{Corpus, CorpusBuilder, DocId, Hit, SearchScratch, Searcher, TfIdfRanker};
 use qec_ingress::IngressBuilder;
 
@@ -29,11 +29,9 @@ use crate::workload::{self, Args, Key, Report, K_CLUSTERS};
 const SAMPLE: usize = 60;
 /// Immediate repeats of each sampled request, timed as cache hits.
 const REPEATS: usize = 5;
-/// Shards of the scatter decomposition (the `zipf_ingress` topology).
-const SHARDS: usize = workload::ZIPF_SHARDS;
-/// Length of the traced open-loop ingress phase of `zipf_ingress`.
-const INGRESS_SECONDS: f64 = 3.0;
-/// Requests per burst of the ingress replay on the closed-loop workloads.
+/// Shards of the scatter decomposition.
+const SHARDS: usize = 2;
+/// Requests per burst of the ingress replay.
 const BURST: usize = 4;
 /// Request id of set-up spans.
 const SETUP: u32 = u32::MAX;
@@ -168,13 +166,6 @@ impl Tracer {
     }
 }
 
-/// Which engine a workload serves from.
-#[derive(Clone, Copy, PartialEq)]
-enum Topology {
-    Flat,
-    Sharded,
-}
-
 /// The hit-before order of the global ranking: score descending, `DocId`
 /// ascending.
 fn hit_before(a: &Hit, b: &Hit) -> bool {
@@ -204,11 +195,10 @@ struct Samples {
 }
 
 pub fn run(args: &Args) -> Result<Report, String> {
-    let (docs, topology, cache) = match args.workload.as_str() {
-        "cold_rank" => (workload::COLD_DOCS, Topology::Flat, workload::COLD_CACHE),
-        "warm_expand" => (workload::WARM_DOCS, Topology::Flat, workload::WARM_CACHE),
-        "zipf_ingress" => (workload::ZIPF_DOCS, Topology::Sharded, workload::ZIPF_CACHE),
-        w => return Err(format!("unknown workload {w:?}")),
+    let (docs, cache) = match args.workload.as_str() {
+        "cold_rank" => (workload::COLD_DOCS, workload::COLD_CACHE),
+        "warm_expand" => (workload::WARM_DOCS, workload::WARM_CACHE),
+        w => return Err(format!("unknown workload {w:?} (cold_rank, warm_expand)")),
     };
     let mut report = Report::default();
     let mut tr = Tracer::new();
@@ -250,45 +240,20 @@ pub fn run(args: &Args) -> Result<Report, String> {
         })
         .collect();
 
-    let cfg = workload::engine_config(cache);
-    let engine: Arc<QecEngine> = match topology {
-        Topology::Flat => EngineBuilder::from_corpus(corpus)
-            .config(cfg)
-            .build_shared(),
-        Topology::Sharded => Arc::new(
-            ShardedEngineBuilder::from_corpus(corpus)
-                .config(cfg)
-                .num_shards(SHARDS)
-                .build()
-                .into_engine(),
-        ),
-    };
+    let engine: Arc<QecEngine> = EngineBuilder::from_corpus(corpus)
+        .config(workload::engine_config(cache))
+        .build_shared();
     workload::check_tokens(engine.corpus(), &gen, &oracle)?;
 
     // The sampled stream.
-    let (keys, sample): (Vec<Key>, Vec<usize>) = match args.workload.as_str() {
-        "cold_rank" => {
-            let keys = workload::cold_keys(&oracle, args.seed);
-            let n = SAMPLE.min(keys.len());
-            (keys, (0..n).collect())
-        }
-        "warm_expand" => {
-            let keys = workload::warm_keys();
-            let n = keys.len();
-            (keys, (0..n).collect())
-        }
-        _ => {
-            let keys = workload::zipf_pool();
-            let mut stream = workload::ZipfStream::new(keys.len(), args.seed);
-            for _ in 0..workload::ZIPF_WARMUP {
-                let k = stream.next_key();
-                if let Ok(resp) = engine.try_expand(&keys[k].request()) {
-                    engine.recycle(resp);
-                }
-            }
-            let sample = (0..SAMPLE).map(|_| stream.next_key()).collect();
-            (keys, sample)
-        }
+    let (keys, sample): (Vec<Key>, Vec<usize>) = if args.workload == "cold_rank" {
+        let keys = workload::cold_keys(&oracle, args.seed);
+        let n = SAMPLE.min(keys.len());
+        (keys, (0..n).collect())
+    } else {
+        let keys = workload::warm_keys();
+        let n = keys.len();
+        (keys, (0..n).collect())
     };
 
     let mut samples = Samples::default();
@@ -365,7 +330,6 @@ pub fn run(args: &Args) -> Result<Report, String> {
             &engine,
             &shards,
             &bases,
-            topology,
             key,
             &resp,
             &mut scratch,
@@ -379,11 +343,7 @@ pub fn run(args: &Args) -> Result<Report, String> {
         tr.end(root);
     }
 
-    // The front door.
-    let fill_mean = match topology {
-        Topology::Sharded => ingress_open_loop(&mut tr, &engine, &keys, args, &mut report)?,
-        Topology::Flat => ingress_bursts(&mut tr, &engine, &keys, &sample, &mut report),
-    };
+    let fill_mean = ingress_bursts(&mut tr, &engine, &keys, &sample, &mut report);
 
     let self_times = tr.self_times();
     let path = dir.join(format!("spans-{}-{}.tsv", args.workload, args.seed));
@@ -566,7 +526,6 @@ fn decompose(
     engine: &QecEngine,
     shards: &[Corpus],
     bases: &[u32],
-    topology: Topology,
     key: &Key,
     resp: &ExpandResponse,
     scratch: &mut SearchScratch,
@@ -633,12 +592,8 @@ fn decompose(
     if !same {
         return Err("flat ranking and merged shard ranking differ".into());
     }
-    let hits = match topology {
-        Topology::Flat => flat,
-        Topology::Sharded => merged,
-    };
-    let docs: Vec<DocId> = hits.iter().map(|h| h.doc).collect();
-    let weights: Vec<f64> = hits.iter().map(|h| h.score).collect();
+    let docs: Vec<DocId> = flat.iter().map(|h| h.doc).collect();
+    let weights: Vec<f64> = flat.iter().map(|h| h.score).collect();
 
     let vectors = tr.time("cluster.tfvec", req, || {
         docs.iter()
@@ -707,74 +662,8 @@ fn decompose(
     Ok(())
 }
 
-/// The traced front door of `zipf_ingress`: its open loop at the workload
-/// rate, with every submit and sojourn recorded. Returns the mean fill.
-fn ingress_open_loop(
-    tr: &mut Tracer,
-    engine: &Arc<QecEngine>,
-    keys: &[Key],
-    args: &Args,
-    report: &mut Report,
-) -> Result<f64, String> {
-    let ingress = IngressBuilder::new(Arc::clone(engine)).queue_cap(0).spawn();
-    let mut stream = workload::ZipfStream::new(keys.len(), args.seed ^ 0x7AACE);
-    let rate = args.rate.unwrap_or(workload::ZIPF_RATE);
-    let (tx, rx) = mpsc::channel::<(
-        Instant,
-        Result<qec_ingress::Ticket, qec_engine::EngineError>,
-    )>();
-    let recycler = Arc::clone(engine);
-    let waiter = std::thread::spawn(move || {
-        let mut done = Vec::new();
-        for (submitted_at, ticket) in rx {
-            let result = ticket.and_then(qec_ingress::Ticket::wait);
-            let end = Instant::now();
-            done.push((submitted_at, end, result.is_ok()));
-            if let Ok(resp) = result {
-                recycler.recycle(resp);
-            }
-        }
-        done
-    });
-    let start = Instant::now();
-    let mut due = Duration::ZERO;
-    let req0 = SAMPLE as u32;
-    let mut n = 0u32;
-    loop {
-        due += stream.gap(rate);
-        if due.as_secs_f64() > INGRESS_SECONDS.min(args.seconds) {
-            break;
-        }
-        let due_at = start + due;
-        let now = Instant::now();
-        if due_at > now {
-            std::thread::sleep(due_at - now);
-        }
-        let key = &keys[stream.next_key()];
-        let t0 = Instant::now();
-        let ticket = ingress.submit(workload::ingress_request(key));
-        tr.record("ingress.submit", req0 + n, t0, Instant::now());
-        n += 1;
-        tx.send((t0, ticket))
-            .map_err(|_| "ingress waiter exited early".to_string())?;
-    }
-    drop(tx);
-    let done = waiter
-        .join()
-        .map_err(|_| "ingress waiter panicked".to_string())?;
-    for (i, (t0, end, ok)) in done.into_iter().enumerate() {
-        tr.record("ingress.sojourn", req0 + i as u32, t0, end);
-        if !ok {
-            report.error("traced ingress request failed".into());
-        }
-    }
-    let fill = ingress.stats().mean_fill();
-    drop(ingress);
-    Ok(fill)
-}
-
-/// The traced front door of the closed-loop workloads: the sample replayed
-/// through an ingress in bursts of [`BURST`]. Returns the mean fill.
+/// The traced front door: the sample replayed through a `qec-ingress`
+/// front door in bursts of [`BURST`]. Returns the mean fill.
 fn ingress_bursts(
     tr: &mut Tracer,
     engine: &Arc<QecEngine>,
@@ -789,7 +678,7 @@ fn ingress_bursts(
         for (j, &ki) in burst.iter().enumerate() {
             let req = req0 + (b * BURST + j) as u32;
             let t0 = Instant::now();
-            let ticket = ingress.submit(workload::ingress_request(&keys[ki]));
+            let ticket = ingress.submit(keys[ki].ingress_request());
             tr.record("ingress.submit", req, t0, Instant::now());
             tickets.push((req, t0, ticket));
         }

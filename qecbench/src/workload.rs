@@ -1,23 +1,22 @@
-//! The three workloads, their keys, the engine set-ups and the timed
-//! loops. Everything a run reports comes from untraced calls through the
-//! public API; `trace.rs` holds the separate traced run.
+//! The workloads, their keys, the engine set-ups and the timed loops.
+//! Everything a run reports comes from untraced calls through the public
+//! API; `trace.rs` holds the separate traced run.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qec_engine::{
     EngineBuilder, EngineConfig, EngineError, ExpandRequest, ExpandResponse, ExpandStrategy,
-    QecEngine, ShardedEngineBuilder,
 };
 use qec_index::Corpus;
-use qec_ingress::{IngressBuilder, IngressRequest};
+use qec_ingress::IngressRequest;
 
-use crate::gen::{self, CorpusShape, Rng, Zipf};
+use crate::gen::{self, CorpusShape, Rng};
 use crate::oracle::{Oracle, OracleQuery, Served, ServedCluster};
-use crate::stats::{host_steal_s, median, peak_rss_mb, quantile, response_hash};
+use crate::stats::{
+    host_steal_s, median, quantile, release_free_heap, response_hash, rss_mb, with_peak_rss,
+};
 
 /// Results kept per query on the closed-loop workloads (the paper's
 /// top-100 arena).
@@ -38,8 +37,6 @@ pub struct Args {
     pub seed: u64,
     pub seconds: f64,
     pub trace: bool,
-    /// Offered rate of `zipf_ingress`, overriding [`ZIPF_RATE`].
-    pub rate: Option<f64>,
 }
 
 /// One reported metric.
@@ -109,6 +106,15 @@ impl Key {
         }
     }
 
+    pub fn ingress_request(&self) -> IngressRequest {
+        IngressRequest {
+            k_clusters: K_CLUSTERS,
+            top_k: self.top_k,
+            strategy: self.strategy,
+            ..IngressRequest::new(self.query.clone())
+        }
+    }
+
     pub fn oracle_query(&self) -> OracleQuery<'_> {
         OracleQuery {
             tokens: &self.tokens,
@@ -128,6 +134,71 @@ pub fn engine_config(cache_capacity: usize) -> EngineConfig {
     cfg.cache.capacity = cache_capacity;
     cfg.pool.threads = pool_threads();
     cfg
+}
+
+/// A file deleted when it goes out of scope.
+pub struct TempFile(pub PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Boots an engine with `boot` and reports its set-up time and memory:
+/// the seconds `boot` took, and the most resident memory seen during it,
+/// as MB above the resident size before it (free heap pages returned
+/// first, so the difference is what the boot holds or touched).
+pub fn measured_boot<T>(boot: impl FnOnce() -> T) -> Booted<T> {
+    release_free_heap();
+    let base_mb = rss_mb();
+    let ((engine, secs), peak_mb) = with_peak_rss(|| {
+        let t0 = Instant::now();
+        let engine = boot();
+        (engine, t0.elapsed().as_secs_f64())
+    });
+    Booted {
+        engine,
+        secs,
+        base_mb,
+        peak_mb,
+    }
+}
+
+/// An engine and what its boot cost.
+pub struct Booted<T> {
+    pub engine: T,
+    pub secs: f64,
+    base_mb: f64,
+    peak_mb: f64,
+}
+
+impl<T> Booted<T> {
+    /// Memory of the boot and of the serving since, in MB above the
+    /// resident size before the boot: the boot's peak, and what is live
+    /// now (the resident size after free heap pages are returned, so that
+    /// where the allocator happened to place the serving's data does not
+    /// matter).
+    pub fn memory(&self) -> Memory {
+        release_free_heap();
+        Memory {
+            boot_mb: self.peak_mb - self.base_mb,
+            serving_mb: rss_mb() - self.base_mb,
+        }
+    }
+}
+
+/// What one set-up and its serving hold, in MB (see [`Booted::memory`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Memory {
+    pub boot_mb: f64,
+    pub serving_mb: f64,
+}
+
+impl Memory {
+    pub fn peak_mb(self) -> f64 {
+        self.boot_mb.max(self.serving_mb)
+    }
 }
 
 /// Scratch directory inside the checkout for snapshot files.
@@ -298,33 +369,40 @@ impl Verifier {
     }
 }
 
-/// The end-to-end metrics every workload reports.
-/// Requests per `p99_ms` window: enough for ten beyond each window's
+/// Requests per percentile window: enough for ten beyond each window's
 /// 99th percentile.
-const P99_WINDOW: usize = 1000;
+const WINDOW: usize = 1000;
 
-/// The 99th percentile of each run of [`P99_WINDOW`] consecutive requests
-/// (a short remainder joins the last window), median over the windows. A
-/// host stall then moves one window's figure instead of the run's.
-fn windowed_p99(latencies_ms: &[f64]) -> f64 {
-    let windows = (latencies_ms.len() / P99_WINDOW).max(1);
-    let per: Vec<f64> = (0..windows)
+/// The `q`-quantile of each run of [`WINDOW`] consecutive requests (a
+/// short remainder joins the last window), averaged over the windows.
+///
+/// The host runs fast and slow stretches of seconds to minutes, so one
+/// run's latencies come from two populations. A quantile of the whole run
+/// jumps from one to the other when the share of slow time crosses it; the
+/// mean of per-window quantiles moves with that share. A stall of the
+/// host delays one request of the closed loop and moves no window's p99.
+fn windowed(latencies_ms: &[f64], q: f64) -> f64 {
+    let windows = (latencies_ms.len() / WINDOW).max(1);
+    let sum: f64 = (0..windows)
         .map(|w| {
             let end = if w + 1 == windows {
                 latencies_ms.len()
             } else {
-                (w + 1) * P99_WINDOW
+                (w + 1) * WINDOW
             };
-            quantile(&mut latencies_ms[w * P99_WINDOW..end].to_vec(), 0.99)
+            quantile(&mut latencies_ms[w * WINDOW..end].to_vec(), q)
         })
-        .collect();
-    median(&per)
+        .sum();
+    sum / windows as f64
 }
 
-/// Reports the end-to-end metrics; `latencies_ms` is in request order.
+/// Reports the end-to-end metrics; `latencies_ms` is in request order,
+/// `setups` and `memories` hold one figure per set-up.
+#[allow(clippy::too_many_arguments)]
 fn end_to_end(
     report: &mut Report,
     setups: &[f64],
+    memories: &[Memory],
     latencies_ms: &mut [f64],
     completed: usize,
     elapsed_s: f64,
@@ -337,15 +415,20 @@ fn end_to_end(
             "{n} latency samples: p99 needs at least 1000 to have ten beyond it"
         ));
     }
-    let p99 = windowed_p99(latencies_ms);
-    let p50 = quantile(latencies_ms, 0.5);
+    let p50 = windowed(latencies_ms, 0.5);
+    let p99 = windowed(latencies_ms, 0.99);
     report.lines.push(format!(
-        "samples: {n} latencies in {} windows of {P99_WINDOW}, whole-run p99 {:.3} ms, setup runs {:?} s",
-        (n / P99_WINDOW).max(1),
+        "samples: {n} latencies in {} windows of {WINDOW}, whole-run p50 {:.4} ms and p99 {:.3} ms, set-ups {:?} s, memory per set-up (boot peak / after serving) {:?} MB",
+        (n / WINDOW).max(1),
+        quantile(latencies_ms, 0.5),
         quantile(latencies_ms, 0.99),
         setups
             .iter()
             .map(|s| (s * 1e3).round() / 1e3)
+            .collect::<Vec<_>>(),
+        memories
+            .iter()
+            .map(|m| format!("{:.1}/{:.1}", m.boot_mb, m.serving_mb))
             .collect::<Vec<_>>()
     ));
     report.metric("setup_s", median(setups), "s");
@@ -353,7 +436,8 @@ fn end_to_end(
     report.metric("p99_ms", p99, "ms");
     report.metric("throughput_rps", completed as f64 / elapsed_s, "1/s");
     report.metric("quality_f_mean", f_sum / f_count.max(1) as f64, "ratio");
-    report.metric("peak_rss_mb", peak_rss_mb(), "MB");
+    let peaks: Vec<f64> = memories.iter().map(|m| m.peak_mb()).collect();
+    report.metric("peak_rss_mb", median(&peaks), "MB");
 }
 
 /// Wall time of a run's phases, for the accounting lines.
@@ -405,6 +489,14 @@ pub fn steal_line(stolen_s: Option<f64>, elapsed_s: f64) -> String {
     }
 }
 
+/// The median latency of each slice of the timed phase: a spread between
+/// slices of one run comes from the engine instance or the host, not from
+/// the inputs, which every slice shares.
+fn slice_line(p50s: &[f64]) -> String {
+    let parts: Vec<String> = p50s.iter().map(|p| format!("{p:.4}")).collect();
+    format!("p50 per slice (ms): {}", parts.join(", "))
+}
+
 fn elapsed_ms(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
@@ -421,6 +513,8 @@ const COLD_DENSE: usize = 96;
 /// AND-match band of a cold key.
 const COLD_MATCHES: std::ops::RangeInclusive<usize> = 500..=50_000;
 pub const COLD_KEYS: usize = 6_000;
+/// Keys set aside from the cold key list to warm the pools before timing.
+const COLD_WARM_KEYS: usize = 8;
 
 /// Distinct keys of 1–3 of the corpus's densest tokens whose AND-match
 /// count lies in [`COLD_MATCHES`], in seeded order.
@@ -490,16 +584,22 @@ pub fn cold_rank(args: &Args) -> Result<Report, String> {
     phases.mark("generate");
     let oracle = Oracle::new(&gen);
     phases.mark("oracle");
-    let keys = cold_keys(&oracle, args.seed);
+    let mut keys = cold_keys(&oracle, args.seed);
     phases.mark("keys");
     if keys.len() < 100 {
         return Err(format!("only {} cold keys in the match band", keys.len()));
     }
+    // Keys that warm the session and response pools after each set-up.
+    // The timed loop never serves them, so none of its requests can find
+    // one of them cached.
+    let warm = keys.split_off(keys.len() - COLD_WARM_KEYS);
     let mut report = Report::default();
     let mut acct = Accounting::default();
     let mut latencies = Vec::new();
     let mut served = Vec::new();
     let mut setups = Vec::new();
+    let mut memories = Vec::new();
+    let mut slice_p50s = Vec::new();
     let mut elapsed = 0.0;
     let mut stolen = Some(0.0);
     let mut evictions = 0;
@@ -509,24 +609,24 @@ pub fn cold_rank(args: &Args) -> Result<Report, String> {
     // spreads the measurement over the whole run: the host's speed changes
     // over minutes, and one stretch of it would see only one phase.
     for rep in 0..COLD_SETUPS {
-        let specs = gen.specs();
-        let t0 = Instant::now();
-        let engine = EngineBuilder::new()
-            .config(engine_config(COLD_CACHE))
-            .documents(specs)
-            .build();
-        setups.push(t0.elapsed().as_secs_f64());
+        let boot = measured_boot(|| {
+            EngineBuilder::new()
+                .config(engine_config(COLD_CACHE))
+                .documents(gen.specs())
+                .build()
+        });
+        setups.push(boot.secs);
+        let engine = &boot.engine;
         if rep == 0 {
             check_tokens(engine.corpus(), &gen, &oracle)?;
         }
-        // Warm the session and response pools on keys the timed loop
-        // reaches last, if at all.
-        for key in keys.iter().rev().take(8) {
+        for key in &warm {
             if let Ok(resp) = engine.try_expand(&key.request()) {
                 engine.recycle(resp);
             }
         }
         let steal0 = host_steal_s();
+        let first = latencies.len();
         let start = Instant::now();
         while start.elapsed() < slice {
             let ki = i % keys.len();
@@ -552,8 +652,11 @@ pub fn cold_rank(args: &Args) -> Result<Report, String> {
         elapsed += start.elapsed().as_secs_f64();
         stolen = stolen.zip(stolen_since(steal0)).map(|(a, b)| a + b);
         evictions += engine.cache_stats().evictions;
+        memories.push(boot.memory());
+        slice_p50s.push(quantile(&mut latencies[first..].to_vec(), 0.5));
     }
     report.lines.push(steal_line(stolen, elapsed));
+    report.lines.push(slice_line(&slice_p50s));
     phases.mark("setup+timed");
 
     let mut verifier = Verifier::default();
@@ -568,10 +671,12 @@ pub fn cold_rank(args: &Args) -> Result<Report, String> {
     let checks: Vec<(&Key, &Served)> = served.iter().map(|(ki, _, s)| (&keys[*ki], s)).collect();
     verifier.oracle_all(&oracle, &checks, &mut report);
     report.lines.push(format!(
-        "cold_rank: {} docs, {} keys in the {:?}-match band, cache {} entries, {} evictions",
+        "cold_rank: {} docs, {} timed keys in the {:?}-match band ({} served, {} more warm the pools), cache {} entries, {} evictions",
         COLD_DOCS,
         keys.len(),
         COLD_MATCHES,
+        i,
+        warm.len(),
         COLD_CACHE,
         evictions
     ));
@@ -582,6 +687,7 @@ pub fn cold_rank(args: &Args) -> Result<Report, String> {
     end_to_end(
         &mut report,
         &setups,
+        &memories,
         &mut latencies,
         completed,
         elapsed,
@@ -608,13 +714,14 @@ pub fn warm_keys() -> Vec<Key> {
 
 /// Builds the warm corpus in memory and saves it as a snapshot (not timed:
 /// the workload's set-up is the load).
-pub fn warm_snapshot(gen: &gen::Corpus, seed: u64) -> Result<PathBuf, String> {
+pub fn warm_snapshot(gen: &gen::Corpus, seed: u64) -> Result<TempFile, String> {
     let path = work_dir()?.join(format!("warm_expand-{seed}-{}.qsnap", std::process::id()));
+    let file = TempFile(path);
     let engine = EngineBuilder::new().documents(gen.specs()).build();
     engine
-        .save_snapshot(&path)
-        .map_err(|e| format!("save snapshot {}: {e}", path.display()))?;
-    Ok(path)
+        .save_snapshot(&file.0)
+        .map_err(|e| format!("save snapshot {}: {e}", file.0.display()))?;
+    Ok(file)
 }
 
 pub fn warm_expand(args: &Args) -> Result<Report, String> {
@@ -624,372 +731,112 @@ pub fn warm_expand(args: &Args) -> Result<Report, String> {
     });
     let oracle = Oracle::new(&gen);
     let keys = warm_keys();
-    let path = warm_snapshot(&gen, args.seed)?;
-    let mut setups = Vec::new();
-    let mut engine = None;
-    for _ in 0..WARM_SETUPS {
-        drop(engine.take());
-        let t0 = Instant::now();
-        let built = EngineBuilder::new()
-            .config(engine_config(WARM_CACHE))
-            .load_snapshot(&path)
-            .build();
-        setups.push(t0.elapsed().as_secs_f64());
-        let boot = built.boot_stats();
-        if boot.snapshots_loaded != 1 || boot.snapshot_fallbacks != 0 {
-            let _ = std::fs::remove_file(&path);
-            return Err(format!("snapshot boot fell back: {:?}", boot.errors));
-        }
-        engine = Some(built);
-    }
-    let _ = std::fs::remove_file(&path);
-    let engine = engine.expect("at least one set-up");
-    check_tokens(engine.corpus(), &gen, &oracle)?;
+    let snapshot = warm_snapshot(&gen, args.seed)?;
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    Rng::new(args.seed ^ 0x3A53).shuffle(&mut order);
 
     let mut report = Report::default();
     let mut verifier = Verifier::default();
-    // Warm the cache: one miss per key, each checked against the oracle.
-    for (ki, key) in keys.iter().enumerate() {
-        let resp = engine
-            .try_expand(&key.request())
-            .map_err(|e| format!("warm-up {:?}: {e}", key.query))?;
-        if resp.stats.arena_cache_hit {
-            report.error(format!("warm-up of {:?} hit an empty cache", key.query));
-        }
-        verifier.hashed(ki, response_hash(&resp), &mut report);
-        verifier.oracle(&oracle, key, &capture(engine.corpus(), &resp), &mut report);
-        engine.recycle(resp);
-    }
-
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    Rng::new(args.seed ^ 0x3A53).shuffle(&mut order);
     let mut acct = Accounting::default();
+    let mut setups = Vec::new();
+    let mut memories = Vec::new();
+    let mut slice_p50s = Vec::new();
     let mut latencies = Vec::new();
     let mut hashes = Vec::new();
     let (mut f_sum, mut f_count) = (0.0, 0);
-    let dur = Duration::from_secs_f64(args.seconds);
-    let steal0 = host_steal_s();
-    let start = Instant::now();
-    // Whole rounds over the key set, so every run serves the same mix.
-    while start.elapsed() < dur {
-        for &ki in &order {
-            let req = keys[ki].request();
-            let t0 = Instant::now();
-            let result = engine.try_expand(&req);
-            let ms = elapsed_ms(t0);
-            match result {
-                Ok(resp) => {
-                    latencies.push(ms);
-                    acct.served(&resp);
-                    f_sum += resp
-                        .clusters()
-                        .iter()
-                        .map(|c| c.quality.fmeasure)
-                        .sum::<f64>();
-                    f_count += resp.clusters().len();
-                    hashes.push((ki, resp.stats.arena_cache_hit, response_hash(&resp)));
-                    engine.recycle(resp);
+    let mut elapsed = 0.0;
+    let mut stolen = Some(0.0);
+    let mut cache_line = String::new();
+    let slice = Duration::from_secs_f64(args.seconds / WARM_SETUPS as f64);
+    // As on `cold_rank`, each set-up is followed by its share of the timed
+    // phase.
+    for rep in 0..WARM_SETUPS {
+        let boot = measured_boot(|| {
+            EngineBuilder::new()
+                .config(engine_config(WARM_CACHE))
+                .load_snapshot(&snapshot.0)
+                .build()
+        });
+        setups.push(boot.secs);
+        let engine = &boot.engine;
+        let stats = engine.boot_stats();
+        if stats.snapshots_loaded != 1 || stats.snapshot_fallbacks != 0 {
+            return Err(format!("snapshot boot fell back: {:?}", stats.errors));
+        }
+        if rep == 0 {
+            check_tokens(engine.corpus(), &gen, &oracle)?;
+        }
+        // Warm the cache: one miss per key, each checked against the
+        // oracle and against the key's serve on the first engine.
+        for (ki, key) in keys.iter().enumerate() {
+            let resp = engine
+                .try_expand(&key.request())
+                .map_err(|e| format!("warm-up {:?}: {e}", key.query))?;
+            if resp.stats.arena_cache_hit {
+                report.error(format!("warm-up of {:?} hit an empty cache", key.query));
+            }
+            verifier.hashed(ki, response_hash(&resp), &mut report);
+            verifier.oracle(&oracle, key, &capture(engine.corpus(), &resp), &mut report);
+            engine.recycle(resp);
+        }
+
+        let steal0 = host_steal_s();
+        let first = latencies.len();
+        let start = Instant::now();
+        // Whole rounds over the key set, so every run serves the same mix.
+        while start.elapsed() < slice {
+            for &ki in &order {
+                let req = keys[ki].request();
+                let t0 = Instant::now();
+                let result = engine.try_expand(&req);
+                let ms = elapsed_ms(t0);
+                match result {
+                    Ok(resp) => {
+                        latencies.push(ms);
+                        acct.served(&resp);
+                        f_sum += resp
+                            .clusters()
+                            .iter()
+                            .map(|c| c.quality.fmeasure)
+                            .sum::<f64>();
+                        f_count += resp.clusters().len();
+                        hashes.push((ki, resp.stats.arena_cache_hit, response_hash(&resp)));
+                        engine.recycle(resp);
+                    }
+                    Err(e) => acct.refused(e),
                 }
-                Err(e) => acct.refused(e),
             }
         }
+        elapsed += start.elapsed().as_secs_f64();
+        stolen = stolen.zip(stolen_since(steal0)).map(|(a, b)| a + b);
+        memories.push(boot.memory());
+        slice_p50s.push(quantile(&mut latencies[first..].to_vec(), 0.5));
+        let cache = engine.cache_stats();
+        cache_line = format!(
+            "warm_expand: {} docs, {} keys, cache {} entries ({} in use, {:.1} MB)",
+            WARM_DOCS,
+            keys.len(),
+            WARM_CACHE,
+            cache.entries,
+            cache.bytes_in_use as f64 / 1e6
+        );
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    report.lines.push(steal_line(stolen_since(steal0), elapsed));
+    drop(snapshot);
+    report.lines.push(steal_line(stolen, elapsed));
+    report.lines.push(slice_line(&slice_p50s));
     for &(ki, hit, h) in &hashes {
         if !hit {
             report.error(format!("warm key {:?} missed the cache", keys[ki].query));
         }
         verifier.hashed(ki, h, &mut report);
     }
-    let cache = engine.cache_stats();
-    report.lines.push(format!(
-        "warm_expand: {} docs, {} keys, cache {} entries ({} in use, {:.1} MB)",
-        WARM_DOCS,
-        keys.len(),
-        WARM_CACHE,
-        cache.entries,
-        cache.bytes_in_use as f64 / 1e6
-    ));
+    report.lines.push(cache_line);
     verifier.summary(&mut report);
     let completed = latencies.len();
     end_to_end(
         &mut report,
         &setups,
-        &mut latencies,
-        completed,
-        elapsed,
-        f_sum,
-        f_count,
-    );
-    acct.into_report(&mut report);
-    Ok(report)
-}
-
-// ------------------------------------------------------------- zipf_ingress
-
-pub const ZIPF_DOCS: usize = 500_000;
-const ZIPF_SETUPS: usize = 3;
-pub const ZIPF_SHARDS: usize = 2;
-/// Results kept per `zipf_ingress` query (the paper's top-30 arena): a
-/// miss then costs about as much as the queue can absorb without hits
-/// waiting behind misses most of the time.
-pub const ZIPF_TOP_K: usize = 30;
-/// Cache entries on `zipf_ingress`: well below its key pool.
-pub const ZIPF_CACHE: usize = 512;
-/// Background words a zipf key may pair with its head term.
-const ZIPF_PAIRS: usize = 9;
-/// Skew of the key stream over the pool.
-pub const ZIPF_S: f64 = 1.0;
-/// Offered rate (requests per second): about a sixth of the rate at which
-/// the queue backs up on the reference machine (between 2,400 and 4,800/s),
-/// low enough that the median stays among the hits that wait for no miss.
-pub const ZIPF_RATE: f64 = 600.0;
-/// Requests served before timing, so the cache starts in steady state.
-pub const ZIPF_WARMUP: usize = 3_000;
-
-/// Head term alone or with one of the densest background words, under
-/// every strategy.
-pub fn zipf_pool() -> Vec<Key> {
-    let mut pool = Vec::new();
-    for h in 0..gen::HEADS {
-        for pair in 0..=ZIPF_PAIRS {
-            let mut tokens = vec![gen::head(h)];
-            if pair > 0 {
-                tokens.push(gen::background(pair - 1));
-            }
-            for s in STRATEGIES {
-                pool.push(Key::new(tokens.clone(), s, ZIPF_TOP_K));
-            }
-        }
-    }
-    pool
-}
-
-/// The seeded key stream: Zipf ranks over a fixed permutation of the pool.
-pub struct ZipfStream {
-    rank_to_key: Vec<usize>,
-    zipf: Zipf,
-    rng: Rng,
-}
-
-impl ZipfStream {
-    /// The popularity order of the pool is the same for every seed, so
-    /// the hot keys (which dominate the served quality) do not change with
-    /// it; the seed drives the corpus, the draws and the arrival times.
-    pub fn new(pool: usize, seed: u64) -> Self {
-        let mut rank_to_key: Vec<usize> = (0..pool).collect();
-        Rng::new(0x21F).shuffle(&mut rank_to_key);
-        Self {
-            rank_to_key,
-            zipf: Zipf::new(pool, ZIPF_S),
-            rng: Rng::new(seed ^ 0x21F),
-        }
-    }
-
-    pub fn next_key(&mut self) -> usize {
-        self.rank_to_key[self.zipf.sample(&mut self.rng)]
-    }
-
-    /// Exponential gap of a Poisson process at `rate`.
-    pub fn gap(&mut self, rate: f64) -> Duration {
-        Duration::from_secs_f64(-(1.0 - self.rng.f64()).ln() / rate)
-    }
-}
-
-/// Builds the 2-shard engine and mounts it as one `QecEngine`.
-pub fn zipf_engine(gen: &gen::Corpus) -> (Arc<QecEngine>, f64) {
-    let specs = gen.specs();
-    let t0 = Instant::now();
-    let engine = ShardedEngineBuilder::new()
-        .config(engine_config(ZIPF_CACHE))
-        .num_shards(ZIPF_SHARDS)
-        .documents(specs)
-        .build()
-        .into_engine();
-    let secs = t0.elapsed().as_secs_f64();
-    (Arc::new(engine), secs)
-}
-
-pub fn ingress_request(key: &Key) -> IngressRequest {
-    IngressRequest {
-        k_clusters: K_CLUSTERS,
-        top_k: key.top_k,
-        strategy: key.strategy,
-        ..IngressRequest::new(key.query.clone())
-    }
-}
-
-/// One completed open-loop request.
-struct Done {
-    key: usize,
-    latency_ms: f64,
-    result: Result<(bool, u64, Option<Served>, f64, usize), EngineError>,
-}
-
-pub fn zipf_ingress(args: &Args) -> Result<Report, String> {
-    let gen = gen::Corpus::generate(CorpusShape {
-        docs: ZIPF_DOCS,
-        seed: args.seed,
-    });
-    let oracle = Oracle::new(&gen);
-    let pool = zipf_pool();
-    let mut setups = Vec::new();
-    let mut engine = None;
-    for _ in 0..ZIPF_SETUPS {
-        drop(engine.take());
-        let (built, secs) = zipf_engine(&gen);
-        setups.push(secs);
-        engine = Some(built);
-    }
-    let engine = engine.expect("at least one set-up");
-    check_tokens(engine.corpus(), &gen, &oracle)?;
-
-    let mut report = Report::default();
-    let mut verifier = Verifier::default();
-    let mut stream = ZipfStream::new(pool.len(), args.seed);
-    // Warm-up straight through the engine: fills the cache to its steady
-    // state. Misses are checked like timed ones.
-    for _ in 0..ZIPF_WARMUP {
-        let ki = stream.next_key();
-        let resp = engine
-            .try_expand(&pool[ki].request())
-            .map_err(|e| format!("warm-up {:?}: {e}", pool[ki].query))?;
-        verifier.hashed(ki, response_hash(&resp), &mut report);
-        if !resp.stats.arena_cache_hit {
-            verifier.oracle(
-                &oracle,
-                &pool[ki],
-                &capture(engine.corpus(), &resp),
-                &mut report,
-            );
-        }
-        engine.recycle(resp);
-    }
-    let before = engine.cache_stats();
-
-    let rate = args.rate.unwrap_or(ZIPF_RATE);
-    let mut schedule = Vec::new();
-    let mut due = Duration::ZERO;
-    loop {
-        due += stream.gap(rate);
-        if due.as_secs_f64() > args.seconds {
-            break;
-        }
-        schedule.push((due, stream.next_key()));
-    }
-
-    let ingress = IngressBuilder::new(Arc::clone(&engine))
-        .queue_cap(0)
-        .spawn();
-    let (tx, rx) = mpsc::channel::<(usize, Instant, Result<qec_ingress::Ticket, EngineError>)>();
-    let corpus_engine = Arc::clone(&engine);
-    let waiter = std::thread::spawn(move || {
-        let mut done = Vec::new();
-        for (key, due_at, submitted) in rx {
-            let result = submitted.and_then(qec_ingress::Ticket::wait);
-            let latency_ms = due_at.elapsed().as_secs_f64() * 1e3;
-            let result = result.map(|resp| {
-                let hit = resp.stats.arena_cache_hit;
-                let served = (!hit).then(|| capture(corpus_engine.corpus(), &resp));
-                let f: f64 = resp.clusters().iter().map(|c| c.quality.fmeasure).sum();
-                let n = resp.clusters().len();
-                let h = response_hash(&resp);
-                corpus_engine.recycle(resp);
-                (hit, h, served, f, n)
-            });
-            done.push(Done {
-                key,
-                latency_ms,
-                result,
-            });
-        }
-        done
-    });
-    let mut lateness_ms = Vec::with_capacity(schedule.len());
-    let steal0 = host_steal_s();
-    let start = Instant::now();
-    for &(due, key) in &schedule {
-        let due_at = start + due;
-        let now = Instant::now();
-        if due_at > now {
-            std::thread::sleep(due_at - now);
-        }
-        lateness_ms.push(elapsed_ms(due_at));
-        let submitted = ingress.submit(ingress_request(&pool[key]));
-        tx.send((key, due_at, submitted))
-            .map_err(|_| "open-loop waiter thread exited early".to_string())?;
-    }
-    drop(tx);
-    let done = waiter
-        .join()
-        .map_err(|_| "open-loop waiter thread panicked".to_string())?;
-    let elapsed = start.elapsed().as_secs_f64();
-    report.lines.push(steal_line(stolen_since(steal0), elapsed));
-    let ingress_stats = ingress.stats();
-    drop(ingress);
-    let after = engine.cache_stats();
-
-    let mut acct = Accounting::default();
-    let mut latencies = Vec::new();
-    let mut by_path = [Vec::new(), Vec::new()];
-    let (mut f_sum, mut f_count) = (0.0, 0);
-    for d in &done {
-        match &d.result {
-            Ok((hit, h, served, f, n)) => {
-                acct.attempted += 1;
-                acct.hits += u64::from(*hit);
-                latencies.push(d.latency_ms);
-                by_path[usize::from(*hit)].push(d.latency_ms);
-                f_sum += f;
-                f_count += n;
-                verifier.hashed(d.key, *h, &mut report);
-                if let Some(s) = served {
-                    verifier.oracle(&oracle, &pool[d.key], s, &mut report);
-                }
-            }
-            Err(e) => acct.refused(*e),
-        }
-    }
-    acct.degraded = ingress_stats.degraded;
-    acct.partial = ingress_stats.partial;
-    acct.shed += ingress_stats.queue_sheds;
-    let probes = (after.hits + after.misses) - (before.hits + before.misses);
-    let hit_ratio = (after.hits - before.hits) as f64 / probes.max(1) as f64;
-    let mut late = lateness_ms.clone();
-    report.lines.push(format!(
-        "zipf_ingress: {} docs, {} shards, pool {} keys, cache {} entries, offered {:.0}/s, hit ratio {:.3}, {} evictions, mean chunk fill {:.2}",
-        ZIPF_DOCS,
-        ZIPF_SHARDS,
-        pool.len(),
-        ZIPF_CACHE,
-        rate,
-        hit_ratio,
-        after.evictions - before.evictions,
-        ingress_stats.mean_fill()
-    ));
-    for (name, xs) in ["miss", "hit"].into_iter().zip(by_path.iter_mut()) {
-        if !xs.is_empty() {
-            report.lines.push(format!(
-                "{name} latency: n {}, p50 {:.3} ms, p90 {:.3} ms, p99 {:.3} ms",
-                xs.len(),
-                quantile(xs, 0.5),
-                quantile(xs, 0.9),
-                quantile(xs, 0.99)
-            ));
-        }
-    }
-    report.lines.push(format!(
-        "generator lateness: p50 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
-        quantile(&mut late, 0.5),
-        quantile(&mut late, 0.99),
-        quantile(&mut late, 1.0)
-    ));
-    verifier.summary(&mut report);
-    let completed = latencies.len();
-    end_to_end(
-        &mut report,
-        &setups,
+        &memories,
         &mut latencies,
         completed,
         elapsed,
